@@ -28,13 +28,13 @@ recorded from this PR onward.  Set ``BENCH_PROP_SMOKE=1`` for the
 reduced-size CI smoke run (equivalence asserted, speedups only logged).
 """
 
-import json
 import os
 import time
 
 import numpy as np
 import pytest
 
+from repro.atomicio import merge_json
 from repro.core import MDGCNConfig, MDModule
 from repro.graph import SignedGraph
 from repro.nn import Adam, Tensor, bce_with_logits, concat, matmul_fixed
@@ -68,8 +68,8 @@ RESULTS = {
 @pytest.fixture(scope="module", autouse=True)
 def write_results():
     yield
-    with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
-        json.dump(RESULTS, fh, indent=2)
+    # Read-merge-write: sections this run did not reach keep their last value.
+    merge_json(RESULTS_PATH, RESULTS, site="bench.merge", durable=False, indent=2)
     print(f"\nwrote {os.path.abspath(RESULTS_PATH)}")
 
 

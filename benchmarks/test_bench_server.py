@@ -37,6 +37,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.atomicio import merge_json
 from repro.core import (
     DDIGCNConfig,
     DSSDDI,
@@ -142,17 +143,8 @@ def _record(name, report):
 
 
 def _flush_results():
-    try:
-        with open(RESULTS_PATH, "r", encoding="utf-8") as fh:
-            existing = json.load(fh)
-        if not isinstance(existing, dict):
-            existing = {}
-    except (FileNotFoundError, json.JSONDecodeError):
-        existing = {}
-    existing.update(RESULTS)
-    with open(RESULTS_PATH, "w", encoding="utf-8") as fh:
-        json.dump(existing, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    merge_json(RESULTS_PATH, RESULTS, site="bench.merge", durable=False,
+               indent=2, sort_keys=True)
 
 
 def test_bench_micro_batching_speedup(served_root):

@@ -37,7 +37,7 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple, Union
 
 from . import chaos
 
@@ -164,6 +164,29 @@ def atomic_write_json(
     return atomic_write_text(
         path, json.dumps(value, **dump_kwargs), site=site, durable=durable
     )
+
+
+def merge_json(
+    path: PathLike,
+    sections: Dict[str, Any],
+    site: str = "write",
+    durable: bool = True,
+    **dump_kwargs: Any,
+) -> Path:
+    """Read-merge-write: set ``sections`` in the JSON object at ``path``.
+
+    Other top-level keys are kept; a missing, torn or non-object file
+    counts as empty.  The write is :func:`atomic_write_json`, so a run
+    that stops early leaves the previous complete file, never a torn one.
+    """
+    try:
+        current = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (FileNotFoundError, ValueError):
+        current = {}
+    if not isinstance(current, dict):
+        current = {}
+    current.update(sections)
+    return atomic_write_json(path, current, site=site, durable=durable, **dump_kwargs)
 
 
 # ----------------------------------------------------------------------

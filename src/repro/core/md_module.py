@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..causal import build_counterfactual_links, build_treatment, suggest_gammas
+from ..causal.counterfactual import _shared_distances
 from ..gnn import (
     LightGCNPropagation,
     bipartite_propagation,
@@ -174,13 +175,14 @@ class MDModule:
 
         if cfg.use_counterfactual:
             gamma_p, gamma_d = cfg.gamma_p, cfg.gamma_d
-            if gamma_p is None or gamma_d is None:
-                auto_p, auto_d = suggest_gammas(x, z, quantile=cfg.gamma_quantile)
-                gamma_p = gamma_p if gamma_p is not None else auto_p
-                gamma_d = gamma_d if gamma_d is not None else auto_d
-            links = build_counterfactual_links(
-                x, z, self._treatment, y, gamma_p, gamma_d
-            )
+            with _shared_distances():  # one distance matrix per feature set
+                if gamma_p is None or gamma_d is None:
+                    auto_p, auto_d = suggest_gammas(x, z, quantile=cfg.gamma_quantile)
+                    gamma_p = gamma_p if gamma_p is not None else auto_p
+                    gamma_d = gamma_d if gamma_d is not None else auto_d
+                links = build_counterfactual_links(
+                    x, z, self._treatment, y, gamma_p, gamma_d
+                )
             treatment_cf = links.treatment_cf
             outcome_cf = links.outcome_cf
             cf_match_rate = links.match_rate

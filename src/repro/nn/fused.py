@@ -265,7 +265,7 @@ def pair_interaction_logits(
         if b2.requires_grad:
             b2._accumulate(g2.sum(axis=0))
         da = _buffer(workspace, "da", (rows, width))
-        np.matmul(g2, w2.data.T, out=da)
+        np.multiply(g2, w2.data.T, out=da)  # the K=1 product g2 @ w2.T
         da *= r > 0.0
         if b1.requires_grad:
             b1._accumulate(da.sum(axis=0))

@@ -54,6 +54,7 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
+from ..atomicio import merge_json
 from .resilience import backoff_delay
 
 #: Where the bench report lands unless --output overrides it.
@@ -648,17 +649,8 @@ def merge_report(path: str, key: str, payload: Dict[str, Any]) -> None:
     The benchmark and the HTTP load generator both write to
     ``BENCH_server.json``; merging keeps one file with every section.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            report = json.load(fh)
-        if not isinstance(report, dict):
-            report = {}
-    except (FileNotFoundError, json.JSONDecodeError):
-        report = {}
-    report[key] = payload
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    merge_json(path, {key: payload}, site="bench.merge", durable=False,
+               indent=2, sort_keys=True)
 
 
 def _fetch_healthz(url: str, timeout: float = 10.0) -> Dict[str, Any]:

@@ -30,7 +30,9 @@ Worker death and restart:
 * graceful (parent got SIGTERM) → every worker gets SIGTERM, stops
   accepting, marks itself draining, answers everything already in
   flight (``RequestTracker.wait_idle``), flushes the micro-batcher, and
-  exits 0.
+  exits 0.  The supervisor exits 0 only if every worker did; a worker
+  still alive ``drain_timeout_s`` + 5 s after SIGTERM is SIGKILLed and
+  makes it exit 1.
 
 The supervisor also maintains ``pool.json`` in the stats directory (see
 :mod:`repro.server.stats`): host/port of the shared socket plus the live
@@ -260,6 +262,7 @@ class WorkerSupervisor:
         self.respawn_due: Dict[int, float] = {}
         self.respawns_total = 0
         self._stop = False
+        self._unclean_exits = 0  # workers that did not drain at shutdown
 
     # ------------------------------------------------------------------
     def _spawn(self, worker_id: int) -> None:
@@ -312,7 +315,14 @@ class WorkerSupervisor:
             )
             self.board.clear(worker_id)
             if self._stop:
-                continue  # orderly shutdown: no respawn
+                # Orderly shutdown: no respawn, but a non-zero exit means
+                # the worker did not drain.
+                if status != 0:
+                    self._unclean_exits += 1
+                    _log.error(
+                        "worker_drain_failed", worker=worker_id, pid=pid, status=status
+                    )
+                continue
             if uptime >= self.stable_uptime_s:
                 self.restarts[worker_id] = 1
             else:
@@ -364,7 +374,11 @@ class WorkerSupervisor:
 
     # ------------------------------------------------------------------
     def run(self) -> int:
-        """Spawn the pool and supervise until SIGTERM/SIGINT; returns 0."""
+        """Spawn the pool and supervise until SIGTERM/SIGINT.
+
+        Returns 0 if every worker drained cleanly at shutdown, and 1 if
+        any worker exited non-zero or had to be SIGKILLed.
+        """
 
         def on_stop_signal(signum, frame) -> None:
             self._stop = True
@@ -383,7 +397,7 @@ class WorkerSupervisor:
                 time.sleep(POLL_INTERVAL_S)
         finally:
             self._shutdown()
-        return 0
+        return 1 if self._unclean_exits else 0
 
     def _shutdown(self) -> None:
         """SIGTERM every worker, wait for drains, SIGKILL stragglers."""
@@ -403,6 +417,7 @@ class WorkerSupervisor:
                 time.sleep(POLL_INTERVAL_S)
         for worker_id, pid in list(self.pids.items()):
             _log.error("worker_drain_timeout_kill", worker=worker_id, pid=pid)
+            self._unclean_exits += 1
             try:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)

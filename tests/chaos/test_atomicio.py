@@ -58,6 +58,29 @@ class TestAtomicWriteUnit:
         atomicio.atomic_write_json(path, {"n": 3}, durable=False)
         assert json.loads(path.read_text()) == {"n": 3}
 
+    def test_merge_json_keeps_other_sections(self, tmp_path):
+        path = tmp_path / "BENCH.json"
+        atomicio.merge_json(path, {"a": 1, "b": {"x": 1}})
+        atomicio.merge_json(path, {"b": {"y": 2}, "c": 3}, durable=False)
+        assert json.loads(path.read_text()) == {"a": 1, "b": {"y": 2}, "c": 3}
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("old", ["{torn", "[1, 2]", None])
+    def test_merge_json_treats_unreadable_as_empty(self, tmp_path, old):
+        path = tmp_path / "BENCH.json"
+        if old is not None:
+            path.write_text(old)
+        atomicio.merge_json(path, {"a": 1})
+        assert json.loads(path.read_text()) == {"a": 1}
+
+    def test_merge_json_error_leaves_old_file(self, tmp_path):
+        path = tmp_path / "BENCH.json"
+        atomicio.merge_json(path, {"a": 1})
+        with chaos.chaos("bench.merge.payload=err"):
+            with pytest.raises(OSError):
+                atomicio.merge_json(path, {"b": 2}, site="bench.merge")
+        assert json.loads(path.read_text()) == {"a": 1}
+
     def test_writer_error_leaves_old_value(self, tmp_path):
         path = tmp_path / "doc.txt"
         atomicio.atomic_write_text(path, "old")

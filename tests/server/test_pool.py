@@ -11,6 +11,9 @@ single-process gateway, and a clean SIGTERM exit.
 """
 
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -225,3 +228,68 @@ class TestPoolSubprocess:
             if seen == {0, 1}:
                 break
         assert seen == {0, 1}
+
+
+# A supervisor whose one worker is a stand-in for ``worker_main``: it
+# signals readiness with a file, then on SIGTERM drains ("clean"), exits
+# 1 ("failing"), or ignores the signal and never drains ("stuck").
+_FAKE_POOL = """
+import signal, sys, time
+from pathlib import Path
+from repro.core import ServerConfig
+from repro.server import pool
+
+mode, root = sys.argv[1], Path(sys.argv[2])
+
+def fake_worker(worker_id, sock, root_dir, config, **kwargs):
+    stop = []
+    if mode == "stuck":
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+    else:
+        signal.signal(signal.SIGTERM, lambda *args: stop.append(True))
+    (root / "ready").touch()
+    while not stop:
+        time.sleep(0.01)
+    return 0 if mode == "clean" else 1
+
+pool.worker_main = fake_worker
+config = ServerConfig(workers=1, port=0, drain_timeout_s=0.05)
+sys.exit(pool.WorkerSupervisor(root, config, root / "stats").run())
+"""
+
+
+class TestSupervisorExitCode:
+    @pytest.mark.parametrize(
+        "mode,code,event",
+        [
+            ("clean", 0, None),
+            ("failing", 1, "worker_drain_failed"),
+            ("stuck", 1, "worker_drain_timeout_kill"),
+        ],
+    )
+    def test_exit_code_reports_unclean_drain(self, tmp_path, mode, code, event):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _FAKE_POOL, mode, str(tmp_path)],
+            env=env,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            deadline = time.monotonic() + 30.0
+            while not (tmp_path / "ready").exists():
+                assert proc.poll() is None, proc.stderr.read()
+                assert time.monotonic() < deadline, "worker never became ready"
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            _out, err = proc.communicate(timeout=30.0)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+        assert proc.returncode == code, err
+        if event is not None:
+            assert event in err
+        assert read_pool_state(tmp_path / "stats")["workers"] == {}
